@@ -78,9 +78,10 @@ func AppendCanonical(b []byte, m *EpochMetrics) []byte {
 // sealed store, sequentially in ascending epoch order, and returns one
 // EpochMetrics per non-empty epoch. This is the reconciliation oracle
 // for the live analyzer, so it resolves config exactly as an online
-// analyzer must: HeavyEveryN defaults to the streaming cadence (the
-// epoch count is unknowable online, so the batch epochCount/240
-// default would never reconcile), snapshots are the configured specs
+// analyzer must: the config is sanitized with an unknown epoch count,
+// so an unset HeavyEveryN resolves to StreamingHeavyEveryN exactly as
+// it does online (the batch n/240 default would never reconcile),
+// snapshots are the configured specs
 // only (no short-trace fallback — picking fallback epochs needs the
 // full epoch list), and position i on the sorted epoch list is heavy
 // iff i % HeavyEveryN == 0. Same kernel, same columns: a live analyzer
@@ -92,10 +93,7 @@ func BatchEpochMetrics(store *trace.Store, db *isp.Database, cfg Config) ([]*Epo
 	if len(epochs) == 0 {
 		return nil, fmt.Errorf("core: trace store is empty")
 	}
-	if cfg.HeavyEveryN <= 0 {
-		cfg.HeavyEveryN = StreamingHeavyEveryN
-	}
-	cfg = cfg.sanitize(len(epochs))
+	cfg = cfg.sanitize(0)
 	snapLabels := SnapshotLabels(ix.Interval(), cfg.Snapshots)
 
 	sc := NewEpochScratch()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"runtime"
 	"slices"
@@ -137,9 +138,17 @@ func firstDiff(t *testing.T, what string, a, b []byte) {
 	t.Errorf("%s: encodings differ in length: %d vs %d lines", what, len(la), len(lb))
 }
 
-// TestAnalyzeGoldenEquivalence is the PR's keystone test: the canonical
-// encoding of Analyze's output must be byte-identical across worker
-// counts and across the sealed-index vs legacy epoch-assembly paths.
+// goldenDigest is the SHA-256 of encodeResults over Analyze(scaledTrace,
+// goldenConfig) on amd64. It was taken when a map-based epoch assembly
+// still ran beside the sealed index and gave the same bytes, so it pins
+// the index's output to that reference. Other architectures may fuse
+// floating-point operations differently, so the pin is checked on amd64
+// only.
+const goldenDigest = "640cda0dc61ae392ca35726f5cd5ab4d60ed7c7fd25953ee6f853c637be6cbb0"
+
+// TestAnalyzeGoldenEquivalence is the determinism keystone: the
+// canonical encoding of Analyze's output must be byte-identical across
+// worker counts and match the pinned digest.
 func TestAnalyzeGoldenEquivalence(t *testing.T) {
 	store, db := scaledTrace(t)
 
@@ -156,14 +165,9 @@ func TestAnalyzeGoldenEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Analyze(workers=%d): %v", parallel.Workers, err)
 	}
-	resLegacy, err := analyzeLegacy(store, db, goldenConfig())
-	if err != nil {
-		t.Fatalf("analyzeLegacy: %v", err)
-	}
 
 	encSerial := encodeResults(resSerial)
 	encParallel := encodeResults(resParallel)
-	encLegacy := encodeResults(resLegacy)
 
 	if len(encSerial) < 1000 {
 		t.Fatalf("encoding suspiciously small (%d bytes); encoder broken?", len(encSerial))
@@ -171,8 +175,8 @@ func TestAnalyzeGoldenEquivalence(t *testing.T) {
 	if !bytes.Equal(encSerial, encParallel) {
 		firstDiff(t, "workers=1 vs workers=N", encSerial, encParallel)
 	}
-	if !bytes.Equal(encSerial, encLegacy) {
-		firstDiff(t, "sealed index vs legacy views", encSerial, encLegacy)
+	if got := fmt.Sprintf("%x", sha256.Sum256(encSerial)); runtime.GOARCH == "amd64" && got != goldenDigest {
+		t.Errorf("golden digest = %s, want %s", got, goldenDigest)
 	}
 }
 

@@ -50,8 +50,10 @@ type Config struct {
 	// for graphs smaller than the cap).
 	PathSamples int
 	// HeavyEveryN computes the small-world metrics on every Nth epoch
-	// (they are quadratic-ish); 0 picks a cadence that yields ≈ 240
-	// computed points.
+	// (they are quadratic-ish). 0 applies the one cadence rule: max(n/240,
+	// 1), about 240 computed points, when the epoch count n is known up
+	// front (Analyze), and StreamingHeavyEveryN when it is not (n == 0:
+	// AnalyzeStream, BatchEpochMetrics and the live analyzer).
 	HeavyEveryN int
 	// Snapshots are the Fig. 4 instants; nil means DefaultSnapshots
 	// (instants outside the trace are skipped).
@@ -88,9 +90,9 @@ func (c Config) sanitize(epochCount int) Config {
 		c.PathSamples = 64
 	}
 	if c.HeavyEveryN <= 0 {
-		c.HeavyEveryN = epochCount / 240
-		if c.HeavyEveryN < 1 {
-			c.HeavyEveryN = 1
+		c.HeavyEveryN = StreamingHeavyEveryN
+		if epochCount > 0 {
+			c.HeavyEveryN = max(epochCount/240, 1)
 		}
 	}
 	if c.Snapshots == nil {
@@ -117,10 +119,9 @@ func (c Config) sanitize(epochCount int) Config {
 
 // Sanitized returns the config with every unset knob defaulted, exactly
 // as Analyze applies them. epochCount feeds the HeavyEveryN cadence
-// default; a caller that cannot know the epoch count up front (the
-// streaming analyzers) picks an explicit cadence and passes 0. Batch and
-// streaming consumers must agree on the sanitized config for their
-// per-epoch outputs to be byte-identical.
+// rule; a caller that cannot know the epoch count up front (the online
+// analyzers) passes 0. Batch and streaming consumers must agree on the
+// sanitized config for their per-epoch outputs to be byte-identical.
 func (c Config) Sanitized(epochCount int) Config { return c.sanitize(epochCount) }
 
 // epochStartOf returns the instant an epoch begins, in UTC.
@@ -245,22 +246,7 @@ func Analyze(store *trace.Store, db *isp.Database, cfg Config) (*Results, error)
 	sp := obs.TracerOrNop(cfg.Tracer).Start("seal")
 	ix := store.Seal()
 	sp.End()
-	view := func(epoch int64) EpochView { return NewIndexedEpochView(ix, epoch) }
-	return analyzeViews(ix.Interval(), ix.Epochs(), view, db, cfg)
-}
-
-// analyzeLegacy is Analyze over the pre-index epoch assembly (maps
-// rebuilt per epoch). It exists only to back the pipeline-equivalence
-// tests while both paths are alive.
-func analyzeLegacy(store *trace.Store, db *isp.Database, cfg Config) (*Results, error) {
-	view := func(epoch int64) EpochView { return legacyEpochView(store, epoch) }
-	return analyzeViews(store.Interval(), store.Epochs(), view, db, cfg)
-}
-
-// analyzeViews is the pipeline body, parameterized over epoch-view
-// assembly so the sealed-index and legacy paths share every downstream
-// instruction.
-func analyzeViews(interval time.Duration, epochs []int64, view func(int64) EpochView, db *isp.Database, cfg Config) (*Results, error) {
+	interval, epochs := ix.Interval(), ix.Epochs()
 	if len(epochs) == 0 {
 		return nil, fmt.Errorf("core: trace store is empty")
 	}
@@ -283,7 +269,7 @@ func analyzeViews(interval time.Duration, epochs []int64, view func(int64) Epoch
 			for i := range jobs {
 				e := epochs[i]
 				heavy := i%cfg.HeavyEveryN == 0
-				v := view(e)
+				v := NewIndexedEpochView(ix, e)
 				outs[i] = AnalyzeEpochMetrics(v, db, cfg, heavy, snapLabels[e], sc)
 				// Fold this epoch's addresses into the worker's shard of
 				// the day-distinct sets (Fig. 1B).
@@ -327,7 +313,7 @@ func analyzeViews(interval time.Duration, epochs []int64, view func(int64) Epoch
 	}
 	mergeSpan.End()
 
-	sp := cfg.Tracer.Start("assemble")
+	sp = cfg.Tracer.Start("assemble")
 	defer sp.End()
 	return assemble(interval, cfg, specs, outs, days)
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"time"
 
 	"github.com/magellan-p2p/magellan/internal/isp"
@@ -22,111 +21,56 @@ var (
 	_ ReportSource = (*trace.JSONLReader)(nil)
 )
 
-// AnalyzeStream runs the full pipeline over a report stream in a single
-// pass, holding at most two epochs of reports in memory — the mode a
-// 120 GB production trace (the paper's) demands. Reports must be
-// roughly time-ordered: anything arriving more than one epoch behind
-// the newest epoch seen is dropped and counted in the returned drop
-// count.
-//
-// Differences from Analyze: epochs are processed sequentially as they
-// complete (no worker pool), HeavyEveryN defaults to 6 because the total
-// epoch count is unknown up front, and the Fig. 4 fallback snapshots are
-// unavailable for the same reason.
-// StreamingHeavyEveryN is the small-world cadence every online analyzer
-// defaults to when Config leaves HeavyEveryN unset: the batch default
-// scales with the total epoch count, which no single-pass or live
-// analyzer can know up front.
+// StreamingHeavyEveryN is the small-world cadence Config.sanitize picks
+// when HeavyEveryN is unset and the epoch count is unknown (n == 0): the
+// batch default scales with the total epoch count, which no single-pass
+// or live analyzer can know up front.
 const StreamingHeavyEveryN = 6
 
+// AnalyzeStream runs the full pipeline over a report stream in a single
+// pass, holding only the open epochs' latest reports in memory — the
+// mode a 120 GB production trace (the paper's) demands. Reports must be
+// roughly time-ordered: an EpochCloser with lag 1 keeps a report one
+// epoch behind the newest epoch seen, while anything two or more epochs
+// behind is dropped and counted in the returned drop count. An invalid
+// report is an error.
+//
+// Differences from Analyze: epochs are processed sequentially as they
+// close (no worker pool), HeavyEveryN defaults to StreamingHeavyEveryN
+// because the total epoch count is unknown up front, and the Fig. 4
+// fallback snapshots are unavailable for the same reason.
 func AnalyzeStream(src ReportSource, db *isp.Database, cfg Config, interval time.Duration) (*Results, int, error) {
 	if interval <= 0 {
 		interval = trace.DefaultReportInterval
 	}
-	if cfg.HeavyEveryN <= 0 {
-		cfg.HeavyEveryN = StreamingHeavyEveryN
-	}
 	cfg = cfg.sanitize(0)
-
 	snapLabels := SnapshotLabels(interval, cfg.Snapshots)
 
 	var (
-		pending   = make(map[int64][]trace.Report, 2)
-		watermark = int64(-1 << 62)
-		outs      []*EpochMetrics
-		days      = make(map[int64]*daySets)
-		dropped   int
-		index     int
-		scratch   = NewEpochScratch()
+		outs    []*EpochMetrics
+		days    = make(map[int64]*daySets)
+		scratch = NewEpochScratch()
 	)
-
-	flush := func(epoch int64) error {
-		reports := pending[epoch]
-		delete(pending, epoch)
-		if len(reports) == 0 {
-			return nil
-		}
-		// A single-epoch store reuses the batch pipeline's per-epoch
-		// machinery verbatim, so streaming and batch results agree.
-		one := trace.NewStore(interval)
-		for _, r := range reports {
-			if err := one.Submit(r); err != nil {
-				return err
-			}
-		}
-		heavy := index%cfg.HeavyEveryN == 0
-		v := NewEpochView(one, epoch)
-		out := AnalyzeEpochMetrics(v, db, cfg, heavy, snapLabels[epoch], scratch)
-		outs = append(outs, out)
-		index++
-
+	closer := NewEpochCloser(interval, 1, 1, func(v EpochView) {
+		heavy := len(outs)%cfg.HeavyEveryN == 0
+		outs = append(outs, AnalyzeEpochMetrics(v, db, cfg, heavy, snapLabels[v.Epoch], scratch))
 		foldDay(days, v)
-		return nil
-	}
-
+	})
 	for {
 		rep, err := src.Next()
 		if errors.Is(err, io.EOF) {
 			break
 		}
+		if err == nil {
+			err = rep.Validate()
+		}
 		if err != nil {
-			return nil, dropped, fmt.Errorf("core: stream: %w", err)
+			return nil, int(closer.Stragglers()), fmt.Errorf("core: stream: %w", err)
 		}
-		epoch := rep.Time.UnixNano() / int64(interval)
-		if epoch <= watermark-2 {
-			dropped++ // straggler behind the tolerance window
-			continue
-		}
-		pending[epoch] = append(pending[epoch], rep)
-		// When a newer epoch appears, everything two or more epochs
-		// behind it is complete; flush those in ascending order.
-		if epoch > watermark {
-			watermark = epoch
-			var ready []int64
-			for e := range pending {
-				if e <= watermark-2 {
-					ready = append(ready, e)
-				}
-			}
-			slices.Sort(ready)
-			for _, e := range ready {
-				if err := flush(e); err != nil {
-					return nil, dropped, err
-				}
-			}
-		}
+		closer.Observe(0, rep)
 	}
-	// Drain remaining epochs in ascending order.
-	var rest []int64
-	for e := range pending {
-		rest = append(rest, e)
-	}
-	slices.Sort(rest)
-	for _, e := range rest {
-		if err := flush(e); err != nil {
-			return nil, dropped, err
-		}
-	}
+	closer.Drain()
+	dropped := int(closer.Stragglers())
 	if len(outs) == 0 {
 		return nil, dropped, fmt.Errorf("core: stream held no reports")
 	}

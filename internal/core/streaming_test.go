@@ -61,40 +61,47 @@ func TestStreamMatchesBatch(t *testing.T) {
 		t.Errorf("dropped %d reports from an ordered stream", dropped)
 	}
 
-	// The streaming pipeline reuses the batch per-epoch machinery, so
-	// core figures must agree exactly.
-	if streamed.EpochCount != batch.EpochCount {
-		t.Errorf("epoch counts differ: %d vs %d", streamed.EpochCount, batch.EpochCount)
+	// The streaming pipeline closes epochs into the same columns and
+	// runs the same per-epoch kernel, so every output bit must agree.
+	encBatch, encStream := encodeResults(batch), encodeResults(streamed)
+	if len(encBatch) < 1000 {
+		t.Fatalf("encoding suspiciously small (%d bytes); encoder broken?", len(encBatch))
 	}
-	if streamed.PeerCounts.MeanTotal != batch.PeerCounts.MeanTotal {
-		t.Errorf("mean total differs: %v vs %v", streamed.PeerCounts.MeanTotal, batch.PeerCounts.MeanTotal)
+	if !bytes.Equal(encStream, encBatch) {
+		firstDiff(t, "AnalyzeStream vs Analyze", encStream, encBatch)
 	}
-	if streamed.PeerCounts.StableShare != batch.PeerCounts.StableShare {
-		t.Errorf("stable share differs")
+}
+
+// TestStreamTolerance pins AnalyzeStream's lateness window: a report one
+// epoch behind the newest epoch seen still lands in its own epoch, and
+// a report two epochs behind is dropped.
+func TestStreamTolerance(t *testing.T) {
+	_, db := scaledTrace(t)
+	at := func(addr uint32, epoch int) trace.Report {
+		r := report(addr, [3]uint32{100, 50, 50})
+		r.Time = _t0.Add(time.Duration(epoch)*10*time.Minute + time.Minute)
+		return r
 	}
-	if streamed.Reciprocity.All.Mean() != batch.Reciprocity.All.Mean() {
-		t.Errorf("reciprocity differs: %v vs %v",
-			streamed.Reciprocity.All.Mean(), batch.Reciprocity.All.Mean())
+	src := &storeSource{reports: []trace.Report{
+		at(1, 0),
+		at(2, 1),
+		at(3, 0), // one epoch late: kept
+		at(4, 2),
+		at(5, 0), // two epochs late: dropped
+	}}
+	res, dropped, err := AnalyzeStream(src, db, Config{Seed: 1}, 10*time.Minute)
+	if err != nil {
+		t.Fatalf("AnalyzeStream: %v", err)
 	}
-	if streamed.SmallWorld.C.Mean() != batch.SmallWorld.C.Mean() {
-		t.Errorf("clustering differs: %v vs %v",
-			streamed.SmallWorld.C.Mean(), batch.SmallWorld.C.Mean())
+	if dropped != 1 {
+		t.Errorf("dropped = %d, want 1", dropped)
 	}
-	if streamed.IntraISP.InFrac.Mean() != batch.IntraISP.InFrac.Mean() {
-		t.Errorf("intra-ISP fraction differs")
+	if res.EpochCount != 3 {
+		t.Fatalf("epochs = %d, want 3", res.EpochCount)
 	}
-	if len(streamed.DegreeDist.Snapshots) != len(batch.DegreeDist.Snapshots) {
-		t.Errorf("snapshot counts differ: %d vs %d",
-			len(streamed.DegreeDist.Snapshots), len(batch.DegreeDist.Snapshots))
-	}
-	if len(streamed.PeerCounts.Days) != len(batch.PeerCounts.Days) {
-		t.Fatalf("day counts differ")
-	}
-	for i := range streamed.PeerCounts.Days {
-		if streamed.PeerCounts.Days[i] != batch.PeerCounts.Days[i] {
-			t.Errorf("day %d differs: %+v vs %+v", i,
-				streamed.PeerCounts.Days[i], batch.PeerCounts.Days[i])
-		}
+	first := res.PeerCounts.Stable.Points()[0]
+	if !first.T.Equal(_t0) || first.V != 2 {
+		t.Errorf("epoch 0 = %v with %v stable peers, want %v with 2", first.T, first.V, _t0)
 	}
 }
 

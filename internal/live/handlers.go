@@ -123,12 +123,12 @@ func (a *Analyzer) payload() epochsPayload {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	p.IntervalSeconds = a.interval.Seconds()
-	p.EpochsClosed = len(a.closed)
-	p.StragglersDropped = a.stragglers
+	p.EpochsClosed = int(a.closedN)
+	p.StragglersDropped = a.closer.Stragglers()
 	for _, ce := range a.closed {
 		p.Closed = append(p.Closed, closedJSON(ce))
 	}
-	for _, fl := range a.inFlightLocked() {
+	for _, fl := range a.closer.Open() {
 		p.InFlight = append(p.InFlight, inflightJSON{
 			Epoch: fl.Epoch,
 			Start: fl.Start.UTC().Format(time.RFC3339),
@@ -418,9 +418,9 @@ func DashboardHandler(a *Analyzer, hist *tsdb.DB, eng *alert.Engine) http.Handle
 			a.mu.Lock()
 			closed := slices.Clone(a.closed)
 			d.IntervalSeconds = a.interval.Seconds()
-			d.EpochsClosed = len(a.closed)
-			d.Stragglers = a.stragglers
-			for _, fl := range a.inFlightLocked() {
+			d.EpochsClosed = int(a.closedN)
+			d.Stragglers = a.closer.Stragglers()
+			for _, fl := range a.closer.Open() {
 				d.InFlight = append(d.InFlight, inflightJSON{
 					Epoch: fl.Epoch,
 					Start: fl.Start.UTC().Format(time.RFC3339),

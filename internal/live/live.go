@@ -9,17 +9,22 @@
 // batch path: for every epoch the analyzer closes, its canonical
 // encoding (core.AppendCanonical) is byte-identical to what
 // core.BatchEpochMetrics produces for that epoch from the merged
-// sealed store. That holds because the analyzer reproduces the sealed
-// index's column semantics exactly — latest-report-by-peer dedup in
-// per-shard arrival order (sound because trace.ShardOf assigns each
-// address wholly to one shard), reporters sorted by address, visible
-// peers sorted and deduplicated — and then runs the very same
-// per-epoch kernel, core.AnalyzeEpochMetrics, over those columns.
+// sealed store. That holds because epochs close through
+// core.EpochCloser, which keeps the latest report per peer in per-shard
+// arrival order (sound because trace.ShardOf assigns each address
+// wholly to one shard) and builds each closing epoch's columns with the
+// sealed index's own rule, trace.EpochColumns; the analyzer then runs
+// the very same per-epoch kernel, core.AnalyzeEpochMetrics, over them.
 //
-// Epoch close is watermark-driven: epoch e closes once every shard has
-// seen a report from an epoch strictly after e. Reports that arrive
-// for an already-closed epoch are dropped with accounting
-// (stragglers), mirroring core.AnalyzeStream's tolerance policy.
+// Epoch close is watermark-driven with lag 0: epoch e closes once every
+// shard has seen a report from an epoch strictly after e. Reports that
+// arrive for an already-closed epoch are dropped with accounting
+// (stragglers). This is stricter than core.AnalyzeStream, whose lag 1
+// keeps an epoch open for one more epoch of late reports.
+//
+// The closed series keeps the newest closedCap epochs, so a
+// long-running daemon holds (and serves on /live/epochs) a bounded
+// window; older epochs are dropped and counted.
 //
 // The package is covered by the determinism analyzer: it never reads a
 // wall clock or ambient randomness. Finalize latency — the one
@@ -29,7 +34,6 @@
 package live
 
 import (
-	"cmp"
 	"crypto/sha256"
 	"slices"
 	"sync"
@@ -41,16 +45,10 @@ import (
 	"github.com/magellan-p2p/magellan/internal/trace"
 )
 
-// DefaultHeavyEveryN is the small-world cadence when the config leaves
-// it unset: an online analyzer cannot know the final epoch count, so
-// the batch default (≈ 240 computed points) is unavailable. Shared
-// with core.AnalyzeStream and core.BatchEpochMetrics, which is what
-// keeps default-config live runs reconcilable against the oracle.
-const DefaultHeavyEveryN = core.StreamingHeavyEveryN
-
-// noEpoch marks "no epoch seen yet" in watermark state; every real
-// epoch index is far above it.
-const noEpoch = -1 << 62
+// closedCap bounds the closed-epoch series: four weeks of 10-minute
+// epochs, twice the paper's two-week trace window, so a full replay of
+// the trace never evicts.
+const closedCap = 4032
 
 // Config tunes a live Analyzer.
 type Config struct {
@@ -64,8 +62,9 @@ type Config struct {
 	// DB resolves addresses to ISPs for the intra-/inter-ISP splits;
 	// nil means an empty database (every address Unknown).
 	DB *isp.Database
-	// Analysis tunes the per-epoch kernel. HeavyEveryN defaults to
-	// DefaultHeavyEveryN (the epoch count is unknown online); every
+	// Analysis tunes the per-epoch kernel. It is sanitized with an
+	// unknown epoch count, so an unset HeavyEveryN resolves to
+	// core.StreamingHeavyEveryN, as in core.BatchEpochMetrics; every
 	// other knob defaults exactly as core.Analyze defaults it. For
 	// byte-equivalence with a batch run, both sides must resolve to the
 	// same sanitized config — in particular an explicit HeavyEveryN and
@@ -98,15 +97,6 @@ type ClosedEpoch struct {
 	Digest    [sha256.Size]byte
 }
 
-// inflight is one open epoch's accumulating column state: last report
-// per address in arrival order (slot tracks each address's position),
-// exactly mirroring the sealed index's dedup before its address sort.
-type inflight struct {
-	slot   map[isp.Addr]int32
-	latest []trace.Report
-	edges  int // total partner-list entries across latest
-}
-
 // Analyzer maintains per-epoch topology state online. One mutex guards
 // all state: Observe calls (one per ingested report, from each shard's
 // ingest goroutine) do O(1) work under it, and the epoch finalization
@@ -125,17 +115,12 @@ type Analyzer struct {
 	db       *isp.Database
 	nowNanos func() int64
 
-	mu            sync.Mutex
-	shardMax      []int64 // per-shard newest epoch seen
-	pending       map[int64]*inflight
-	closedThrough int64 // epochs ≤ this are closed; arrivals for them are stragglers
-	closed        []*ClosedEpoch
-	index         int // finalization position, drives the heavy cadence
-	scratch       *core.EpochScratch
-	snapLabels    map[int64]string
-	stragglers    uint64
-	peersInFlight int
-	edgesInFlight int
+	mu         sync.Mutex
+	closer     *core.EpochCloser
+	closed     []*ClosedEpoch // the newest closedCap closed epochs, ascending
+	closedN    uint64         // epochs ever closed; drives the heavy cadence
+	scratch    *core.EpochScratch
+	snapLabels map[int64]string
 
 	finalizeHist *obs.Histogram
 }
@@ -147,34 +132,21 @@ func New(cfg Config) *Analyzer {
 	if interval <= 0 {
 		interval = trace.DefaultReportInterval
 	}
-	shards := cfg.Shards
-	if shards < 1 {
-		shards = 1
-	}
 	db := cfg.DB
 	if db == nil {
 		db, _ = isp.NewDatabase(nil) // empty range set cannot fail
 	}
-	ac := cfg.Analysis
-	if ac.HeavyEveryN <= 0 {
-		ac.HeavyEveryN = DefaultHeavyEveryN
-	}
-	ac = ac.Sanitized(0)
+	ac := cfg.Analysis.Sanitized(0)
 
 	a := &Analyzer{
-		interval:      interval,
-		cfg:           ac,
-		db:            db,
-		nowNanos:      cfg.NowNanos,
-		shardMax:      make([]int64, shards),
-		pending:       make(map[int64]*inflight),
-		closedThrough: noEpoch,
-		scratch:       core.NewEpochScratch(),
-		snapLabels:    core.SnapshotLabels(interval, ac.Snapshots),
+		interval:   interval,
+		cfg:        ac,
+		db:         db,
+		nowNanos:   cfg.NowNanos,
+		scratch:    core.NewEpochScratch(),
+		snapLabels: core.SnapshotLabels(interval, ac.Snapshots),
 	}
-	for i := range a.shardMax {
-		a.shardMax[i] = noEpoch
-	}
+	a.closer = core.NewEpochCloser(interval, cfg.Shards, 0, a.finalizeLocked)
 	if cfg.Obs != nil {
 		a.register(cfg.Obs)
 	}
@@ -190,36 +162,42 @@ func (a *Analyzer) register(reg *obs.Registry) {
 		func() uint64 {
 			a.mu.Lock()
 			defer a.mu.Unlock()
-			return uint64(len(a.closed))
+			return a.closedN
+		})
+	reg.CounterFunc("magellan_live_epochs_evicted_total",
+		"Closed epochs dropped from the retained series to bound it.",
+		func() uint64 {
+			a.mu.Lock()
+			defer a.mu.Unlock()
+			return a.closedN - uint64(len(a.closed))
 		})
 	reg.CounterFunc("magellan_live_stragglers_dropped_total",
 		"Reports dropped for arriving after their epoch closed.",
 		func() uint64 {
 			a.mu.Lock()
 			defer a.mu.Unlock()
-			return a.stragglers
+			return a.closer.Stragglers()
 		})
+	inFlight := func(f func(core.OpenEpoch) int) func() float64 {
+		return func() float64 {
+			a.mu.Lock()
+			defer a.mu.Unlock()
+			n := 0
+			for _, o := range a.closer.Open() {
+				n += f(o)
+			}
+			return float64(n)
+		}
+	}
 	reg.GaugeFunc("magellan_live_watermark_lag_epochs",
 		"Open epochs between the watermark and the newest report seen.",
-		func() float64 {
-			a.mu.Lock()
-			defer a.mu.Unlock()
-			return float64(len(a.pending))
-		})
+		inFlight(func(core.OpenEpoch) int { return 1 }))
 	reg.GaugeFunc("magellan_live_peers_in_flight",
 		"Deduplicated reporting peers accumulated in open epochs.",
-		func() float64 {
-			a.mu.Lock()
-			defer a.mu.Unlock()
-			return float64(a.peersInFlight)
-		})
+		inFlight(func(o core.OpenEpoch) int { return o.Peers }))
 	reg.GaugeFunc("magellan_live_edges_in_flight",
 		"Partner-list entries accumulated in open epochs.",
-		func() float64 {
-			a.mu.Lock()
-			defer a.mu.Unlock()
-			return float64(a.edgesInFlight)
-		})
+		inFlight(func(o core.OpenEpoch) int { return o.Edges }))
 	a.finalizeHist = reg.Histogram("magellan_live_finalize_duration_seconds",
 		"Wall time to finalize one closed epoch (observed only when a clock is injected).",
 		obs.DefLatencyBuckets())
@@ -234,120 +212,35 @@ func (a *Analyzer) Observe(shard int, r trace.Report) {
 	if a == nil {
 		return
 	}
-	epoch := r.Time.UnixNano() / int64(a.interval)
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if shard < 0 || shard >= len(a.shardMax) {
-		// A shard index outside the configured fan-in would deadlock the
-		// watermark if honored and corrupt it if clamped; drop with
-		// accounting, like any other report the plane cannot place.
-		a.stragglers++
-		return
-	}
-	if epoch <= a.closedThrough {
-		a.stragglers++
-		return
-	}
-	fl := a.pending[epoch]
-	if fl == nil {
-		fl = &inflight{slot: make(map[isp.Addr]int32)}
-		a.pending[epoch] = fl
-	}
-	if i, ok := fl.slot[r.Addr]; ok {
-		// Latest-by-peer dedup, last write wins: per-address order is
-		// the owning shard's arrival order, exactly like the sealed
-		// index over a merged store.
-		delta := len(r.Partners) - len(fl.latest[i].Partners)
-		fl.edges += delta
-		a.edgesInFlight += delta
-		fl.latest[i] = r
-	} else {
-		fl.slot[r.Addr] = int32(len(fl.latest))
-		fl.latest = append(fl.latest, r)
-		fl.edges += len(r.Partners)
-		a.peersInFlight++
-		a.edgesInFlight += len(r.Partners)
-	}
-	if epoch > a.shardMax[shard] {
-		a.shardMax[shard] = epoch
-		a.advanceLocked()
-	}
+	a.closer.Observe(shard, r)
 }
 
-// advanceLocked recomputes the watermark (the minimum over every
-// shard's newest epoch) and finalizes all open epochs strictly below
-// it, in ascending order.
-func (a *Analyzer) advanceLocked() {
-	w := a.shardMax[0]
-	for _, m := range a.shardMax[1:] {
-		if m < w {
-			w = m
-		}
-	}
-	if w == noEpoch {
-		return // some shard has not reported yet
-	}
-	var ready []int64
-	for e := range a.pending {
-		if e < w {
-			ready = append(ready, e)
-		}
-	}
-	slices.Sort(ready)
-	for _, e := range ready {
-		a.finalizeLocked(e)
-	}
-	if w-1 > a.closedThrough {
-		a.closedThrough = w - 1
-	}
-}
-
-// finalizeLocked closes one epoch: sorts the deduplicated reports into
-// the sealed index's column layout, runs the shared per-epoch kernel,
-// and appends the result (with its canonical encoding and digest) to
-// the closed series.
-func (a *Analyzer) finalizeLocked(epoch int64) {
-	fl := a.pending[epoch]
-	delete(a.pending, epoch)
-	if fl == nil || len(fl.latest) == 0 {
-		return
-	}
+// finalizeLocked is the closer's callback: it runs the shared per-epoch
+// kernel over one closed epoch and appends the result (with its
+// canonical encoding and digest) to the bounded closed series.
+func (a *Analyzer) finalizeLocked(v core.EpochView) {
 	var t0 int64
 	if a.nowNanos != nil {
 		t0 = a.nowNanos()
 	}
-	a.peersInFlight -= len(fl.latest)
-	a.edgesInFlight -= fl.edges
-
-	latest := fl.latest
-	slices.SortFunc(latest, func(x, y trace.Report) int { return cmp.Compare(x.Addr, y.Addr) })
-	addrs := make([]isp.Addr, len(latest))
-	all := make([]isp.Addr, 0, len(latest)*4)
-	for i := range latest {
-		addrs[i] = latest[i].Addr
-		all = append(all, latest[i].Addr)
-		for _, p := range latest[i].Partners {
-			all = append(all, p.Addr)
-		}
-	}
-	slices.Sort(all)
-	all = slices.Compact(all)
-
-	start := time.Unix(0, epoch*int64(a.interval)).UTC()
-	v := core.NewColumnsEpochView(epoch, start, latest, addrs, all)
-	heavy := a.index%a.cfg.HeavyEveryN == 0
-	m := core.AnalyzeEpochMetrics(v, a.db, a.cfg, heavy, a.snapLabels[epoch], a.scratch)
-	a.index++
-
+	heavy := a.closedN%uint64(a.cfg.HeavyEveryN) == 0
+	m := core.AnalyzeEpochMetrics(v, a.db, a.cfg, heavy, a.snapLabels[v.Epoch], a.scratch)
 	canon := core.AppendCanonical(nil, m)
-	a.closed = append(a.closed, &ClosedEpoch{
-		Epoch:     epoch,
-		Start:     start,
-		Reports:   len(latest),
+	ce := &ClosedEpoch{
+		Epoch:     v.Epoch,
+		Start:     v.Start,
+		Reports:   v.StableCount(),
 		Metrics:   m,
 		Canonical: canon,
 		Digest:    sha256.Sum256(canon),
-	})
+	}
+	if len(a.closed) == closedCap {
+		a.closed = slices.Delete(a.closed, 0, 1) // drop the oldest
+	}
+	a.closed = append(a.closed, ce)
+	a.closedN++
 	if a.finalizeHist != nil && a.nowNanos != nil {
 		a.finalizeHist.Observe(float64(a.nowNanos()-t0) / 1e9)
 	}
@@ -364,22 +257,12 @@ func (a *Analyzer) Drain() {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	ready := make([]int64, 0, len(a.pending))
-	for e := range a.pending {
-		ready = append(ready, e)
-	}
-	slices.Sort(ready)
-	for _, e := range ready {
-		a.finalizeLocked(e)
-	}
-	if n := len(ready); n > 0 && ready[n-1] > a.closedThrough {
-		a.closedThrough = ready[n-1]
-	}
+	a.closer.Drain()
 }
 
-// Closed returns the finalized epochs in close order (ascending epoch
-// for watermark-driven closes). The slice is a copy; the entries are
-// shared and must be treated as read-only.
+// Closed returns the retained finalized epochs — the newest closedCap —
+// in ascending epoch order. The slice is a copy; the entries are shared
+// and must be treated as read-only.
 func (a *Analyzer) Closed() []*ClosedEpoch {
 	if a == nil {
 		return nil
@@ -397,18 +280,11 @@ func (a *Analyzer) Stragglers() uint64 {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.stragglers
+	return a.closer.Stragglers()
 }
 
 // InFlightEpoch summarizes one open epoch's provisional state.
-type InFlightEpoch struct {
-	Epoch int64
-	Start time.Time
-	// Peers is the deduplicated reporter count so far; Edges the total
-	// partner-list entries backing it.
-	Peers int
-	Edges int
-}
+type InFlightEpoch = core.OpenEpoch
 
 // InFlight returns the open epochs in ascending order.
 func (a *Analyzer) InFlight() []InFlightEpoch {
@@ -417,26 +293,7 @@ func (a *Analyzer) InFlight() []InFlightEpoch {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.inFlightLocked()
-}
-
-func (a *Analyzer) inFlightLocked() []InFlightEpoch {
-	epochs := make([]int64, 0, len(a.pending))
-	for e := range a.pending {
-		epochs = append(epochs, e)
-	}
-	slices.Sort(epochs)
-	out := make([]InFlightEpoch, len(epochs))
-	for i, e := range epochs {
-		fl := a.pending[e]
-		out[i] = InFlightEpoch{
-			Epoch: e,
-			Start: time.Unix(0, e*int64(a.interval)).UTC(),
-			Peers: len(fl.latest),
-			Edges: fl.edges,
-		}
-	}
-	return out
+	return a.closer.Open()
 }
 
 // Interval returns the epoch width the analyzer buckets by.

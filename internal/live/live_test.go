@@ -32,11 +32,11 @@ func equivConfig() core.Config {
 }
 
 // runLiveSim simulates a short overlay with the given ingest shard
-// count and faults, feeding a live analyzer through per-shard store
-// observers — the same subscription geometry the daemons use — and
-// returns the analyzer, the per-shard stores for batch-side merging,
-// and the run's ISP database.
-func runLiveSim(t *testing.T, shards int, f faults.Config) (*live.Analyzer, []*trace.Store, *isp.Database) {
+// count and faults, feeding a live analyzer with the given analysis
+// config through per-shard store observers — the same subscription
+// geometry the daemons use — and returns the analyzer, the per-shard
+// stores for batch-side merging, and the run's ISP database.
+func runLiveSim(t *testing.T, shards int, f faults.Config, ac core.Config) (*live.Analyzer, []*trace.Store, *isp.Database) {
 	t.Helper()
 	stores := make([]*trace.Store, shards)
 	for i := range stores {
@@ -64,7 +64,7 @@ func runLiveSim(t *testing.T, shards int, f faults.Config) (*live.Analyzer, []*t
 	a := live.New(live.Config{
 		Shards:   shards,
 		DB:       s.Database(),
-		Analysis: equivConfig(),
+		Analysis: ac,
 	})
 	for i, st := range stores {
 		shard := i
@@ -93,21 +93,30 @@ func firstDiff(t *testing.T, what string, a, b []byte) {
 // TestLiveBatchEquivalence is the live plane's keystone: for every
 // epoch the online analyzer closes, its canonical encoding must be
 // byte-identical to the sealed-index batch oracle's — across shard
-// counts, with and without seeded datagram loss.
+// counts, with and without seeded datagram loss, and under the default
+// config (HeavyEveryN and Snapshots unset), where both sides resolve
+// the cadence through the one rule in core.Config.
 func TestLiveBatchEquivalence(t *testing.T) {
 	cases := []struct {
-		shards int
-		faults faults.Config
+		shards   int
+		faults   faults.Config
+		defaults bool
 	}{
 		{shards: 1},
 		{shards: 2},
 		{shards: 1, faults: faults.Config{Loss: 0.05}},
 		{shards: 2, faults: faults.Config{Loss: 0.05}},
+		{shards: 2, defaults: true},
 	}
 	for _, tc := range cases {
 		name := fmt.Sprintf("shards=%d/loss=%v", tc.shards, tc.faults.Loss)
+		ac := equivConfig()
+		if tc.defaults {
+			name += "/defaults"
+			ac = core.Config{Seed: 9}
+		}
 		t.Run(name, func(t *testing.T) {
-			a, stores, db := runLiveSim(t, tc.shards, tc.faults)
+			a, stores, db := runLiveSim(t, tc.shards, tc.faults, ac)
 
 			// Before the drain the watermark has closed a strict prefix:
 			// at least one epoch over a 3h run, never the still-open tail.
@@ -137,7 +146,7 @@ func TestLiveBatchEquivalence(t *testing.T) {
 					t.Fatalf("MergeStores: %v", err)
 				}
 			}
-			batch, err := core.BatchEpochMetrics(merged, db, equivConfig())
+			batch, err := core.BatchEpochMetrics(merged, db, ac)
 			if err != nil {
 				t.Fatalf("BatchEpochMetrics: %v", err)
 			}

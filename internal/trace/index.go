@@ -89,11 +89,10 @@ func buildIndex(interval time.Duration, epochs map[int64][]Report, j *obs.Journa
 	slot := make(map[isp.Addr]int32)
 	latest := make([]Report, 0, maxLatest)
 	all := make([]isp.Addr, 0, maxVisible)
-	byAddr := func(a, b Report) int { return cmp.Compare(a.Addr, b.Addr) }
 	for i, e := range keys {
 		ix.pos[e] = i
 
-		// Latest-by-peer dedup in arrival order, then sort by address.
+		// Latest-by-peer dedup in arrival order, then the column rule.
 		clear(slot)
 		latest = latest[:0]
 		for k := range epochs[e] {
@@ -107,30 +106,42 @@ func buildIndex(interval time.Duration, epochs map[int64][]Report, j *obs.Journa
 				latest = append(latest, r)
 			}
 		}
-		slices.SortFunc(latest, byAddr)
+		ix.addrs, all = EpochColumns(latest, ix.addrs, all)
 		ix.reports = append(ix.reports, latest...)
 		for k := range latest {
-			ix.addrs = append(ix.addrs, latest[k].Addr)
 			j.Record(latest[k].Time.UnixNano(), obs.StageSeal, obs.VerdictIndexed,
 				journalID(&latest[k], interval))
 		}
 		ix.offsets[i+1] = len(ix.reports)
-
-		// All visible peers: reporters plus everyone on their partner
-		// lists, sorted and deduplicated.
-		all = all[:0]
-		for j := range latest {
-			all = append(all, latest[j].Addr)
-			for _, p := range latest[j].Partners {
-				all = append(all, p.Addr)
-			}
-		}
-		slices.Sort(all)
-		ix.all = append(ix.all, slices.Compact(all)...)
+		ix.all = append(ix.all, all...)
 		ix.allOff[i+1] = len(ix.all)
 	}
 	return ix
 }
+
+// EpochColumns is the column rule every epoch snapshot obeys, sealed
+// (buildIndex) or online (core.EpochCloser). latest holds one report
+// per peer, already deduplicated; EpochColumns sorts it by address in
+// place, appends the aligned address column to addrs, and rebuilds
+// visible from visible[:0] as every visible peer — reporters plus
+// everyone on their partner lists — sorted and deduplicated. It
+// returns the extended addrs and the rebuilt visible, so callers can
+// pass pre-sized buffers and reuse them across epochs.
+func EpochColumns(latest []Report, addrs, visible []isp.Addr) ([]isp.Addr, []isp.Addr) {
+	slices.SortFunc(latest, byAddr)
+	visible = visible[:0]
+	for k := range latest {
+		addrs = append(addrs, latest[k].Addr)
+		visible = append(visible, latest[k].Addr)
+		for _, p := range latest[k].Partners {
+			visible = append(visible, p.Addr)
+		}
+	}
+	slices.Sort(visible)
+	return addrs, slices.Compact(visible)
+}
+
+func byAddr(a, b Report) int { return cmp.Compare(a.Addr, b.Addr) }
 
 // Interval returns the epoch width.
 func (ix *Index) Interval() time.Duration { return ix.interval }
